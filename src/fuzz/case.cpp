@@ -4,38 +4,12 @@
 #include <array>
 
 #include "bsbutil/error.hpp"
-#include "bsbutil/math.hpp"
 #include "bsbutil/rng.hpp"
+#include "fuzz/spec.hpp"
 
 namespace bsb::fuzz {
 
 namespace {
-
-constexpr std::array<Variant, kNumVariants> kAllVariants = {
-    Variant::BcastBinomial,
-    Variant::BcastScatterRd,
-    Variant::BcastScatterRingNative,
-    Variant::BcastScatterRingTuned,
-    Variant::BcastRingPipelined,
-    Variant::BcastSmp,
-    Variant::BcastAuto,
-    Variant::BcastPersistent,
-    Variant::AllgatherRingNative,
-    Variant::AllgatherRingTuned,
-    Variant::AllgatherRecursiveDoubling,
-    Variant::AllgatherBruck,
-    Variant::AllgatherNeighborExchange,
-    Variant::ReduceScatterRing,
-    Variant::ReduceScatterBlocks,
-    Variant::AllreduceRsAgNative,
-    Variant::AllreduceRsAgTuned,
-    Variant::AllreduceRecursiveDoubling,
-    Variant::AllgathervRingNative,
-    Variant::AllgathervRingTuned,
-    Variant::AllgatherBruckHier,
-    Variant::IbcastConcurrent,
-    Variant::BcastHier,
-};
 
 std::uint64_t case_key(std::uint64_t seed, std::uint64_t index) noexcept {
   return (seed ^ 0x5DEECE66DULL) * 0x100000001b3ULL + index * 0x9e3779b97f4a7c15ULL;
@@ -51,105 +25,77 @@ std::string join_sizes(const std::vector<int>& sizes) {
   return s;
 }
 
+/// Append the optional fields the case's row reads as " key=value" pairs;
+/// `cli` selects the bsb-fuzz flag spelling ("--smp-cores=4") over the
+/// summary one ("cores/node=4").
+void append_fields(const FuzzCase& c, bool cli, std::string& s) {
+  const CollectiveSpec& row = spec(c.variant);
+  const auto put = [&](const char* key, const std::string& value) {
+    s += cli ? " --" : " ";
+    s += key;
+    s += '=';
+    s += value;
+  };
+  const char* tuned = c.use_tuned_ring ? "1" : "0";
+  if (row.fields & kSegmentField) put("segment", std::to_string(c.segment_bytes));
+  if (row.fields & kSmpCoresField) {
+    put(cli ? "smp-cores" : "cores/node", std::to_string(c.smp_cores_per_node));
+  }
+  if (row.fields & kNodesField) {
+    put("nodes", join_sizes(c.node_sizes));
+    put("tuned", tuned);
+  }
+  if (row.fields & kSelectorField) {
+    put("smsg", std::to_string(c.smsg_limit));
+    put("mmsg", std::to_string(c.mmsg_limit));
+    put("tuned", tuned);
+  }
+  if (row.grain == Grain::Reduce) {
+    put("op", to_string(c.red_op));
+    put("dtype", to_string(c.red_dtype));
+  }
+  if (row.grain == Grain::Skewed) put("skew-seed", std::to_string(c.skew_seed));
+}
+
 }  // namespace
 
-bool is_block_allgather(Variant v) noexcept {
-  switch (v) {
-    case Variant::AllgatherRingNative:
-    case Variant::AllgatherRingTuned:
-    case Variant::AllgatherRecursiveDoubling:
-    case Variant::AllgatherBruck:
-    case Variant::AllgatherNeighborExchange:
-    case Variant::AllgatherBruckHier:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_reduce_family(Variant v) noexcept {
-  switch (v) {
-    case Variant::ReduceScatterRing:
-    case Variant::ReduceScatterBlocks:
-    case Variant::AllreduceRsAgNative:
-    case Variant::AllreduceRsAgTuned:
-    case Variant::AllreduceRecursiveDoubling:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_allgatherv(Variant v) noexcept {
-  return v == Variant::AllgathervRingNative ||
-         v == Variant::AllgathervRingTuned;
-}
-
-bool is_rootless(Variant v) noexcept {
-  return v == Variant::AllgatherBruck ||
-         v == Variant::AllgatherNeighborExchange ||
-         v == Variant::AllreduceRecursiveDoubling ||
-         v == Variant::AllgatherBruckHier;
-}
-
-const char* to_string(Variant v) noexcept {
-  switch (v) {
-    case Variant::BcastBinomial: return "bcast-binomial";
-    case Variant::BcastScatterRd: return "bcast-scatter-rd";
-    case Variant::BcastScatterRingNative: return "bcast-scatter-ring-native";
-    case Variant::BcastScatterRingTuned: return "bcast-scatter-ring-tuned";
-    case Variant::BcastRingPipelined: return "bcast-ring-pipelined";
-    case Variant::BcastSmp: return "bcast-smp";
-    case Variant::BcastAuto: return "bcast-auto";
-    case Variant::BcastPersistent: return "bcast-persistent";
-    case Variant::AllgatherRingNative: return "allgather-ring-native";
-    case Variant::AllgatherRingTuned: return "allgather-ring-tuned";
-    case Variant::AllgatherRecursiveDoubling: return "allgather-recursive-doubling";
-    case Variant::AllgatherBruck: return "allgather-bruck";
-    case Variant::AllgatherNeighborExchange: return "allgather-neighbor-exchange";
-    case Variant::ReduceScatterRing: return "reduce-scatter-ring";
-    case Variant::ReduceScatterBlocks: return "reduce-scatter-blocks";
-    case Variant::AllreduceRsAgNative: return "allreduce-rsag-native";
-    case Variant::AllreduceRsAgTuned: return "allreduce-rsag-tuned";
-    case Variant::AllreduceRecursiveDoubling: return "allreduce-recursive-doubling";
-    case Variant::AllgathervRingNative: return "allgatherv-ring-native";
-    case Variant::AllgathervRingTuned: return "allgatherv-ring-tuned";
-    case Variant::AllgatherBruckHier: return "allgather-bruck-hier";
-    case Variant::IbcastConcurrent: return "ibcast-concurrent";
-    case Variant::BcastHier: return "bcast-hier";
-  }
-  return "?";
-}
+const char* to_string(Variant v) noexcept { return spec(v).name; }
 
 std::optional<Variant> variant_from_string(const std::string& name) {
-  for (const Variant v : kAllVariants) {
+  for (const Variant v : all_variants()) {
     if (name == to_string(v)) return v;
   }
   return std::nullopt;
 }
 
-std::span<const Variant> all_variants() noexcept { return kAllVariants; }
+std::span<const Variant> all_variants() noexcept {
+  static const std::array<Variant, kNumVariants> kAll = [] {
+    std::array<Variant, kNumVariants> all{};
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<Variant>(i);
+    return all;
+  }();
+  return kAll;
+}
 
 int fit_ranks(Variant v, int nranks) noexcept {
   int n = std::max(nranks, 2);
-  switch (v) {
-    case Variant::BcastScatterRd:
-    case Variant::AllgatherRecursiveDoubling:
-    case Variant::AllreduceRecursiveDoubling:
-      // Round down to a power of two.
-      while ((n & (n - 1)) != 0) n &= n - 1;
-      return std::max(n, 2);
-    case Variant::AllgatherNeighborExchange:
-      return n % 2 == 0 ? n : n - 1;
-    default:
+  switch (spec(v).ranks) {
+    case RankRule::PowerOfTwo:
+      while ((n & (n - 1)) != 0) n &= n - 1;  // round down
       return n;
+    case RankRule::Even:
+      return n % 2 == 0 ? n : n - 1;
+    case RankRule::Any:
+      break;
   }
+  return n;
 }
 
 FuzzCase normalize_case(FuzzCase c) {
+  const CollectiveSpec& row = spec(c.variant);
   c.nranks = fit_ranks(c.variant, c.nranks);
-  c.root = is_rootless(c.variant) ? 0 : c.root % c.nranks;
-  if (c.variant == Variant::BcastHier) {
+  c.root = row.rootless ? 0 : c.root % c.nranks;
+  if (row.fields & kNodesField) {
     // Refit the node shape so positive sizes sum to exactly nranks: keep
     // the sampled sizes as a prefix, clamp the straddler, extend with a
     // remainder node, drop the tail. An empty shape falls back to a
@@ -174,18 +120,20 @@ FuzzCase normalize_case(FuzzCase c) {
   } else {
     c.node_sizes.clear();
   }
-  if (is_block_allgather(c.variant)) {
-    std::uint64_t block = c.nbytes / static_cast<std::uint64_t>(c.nranks);
-    if (block == 0) block = 1;
-    c.nbytes = block * static_cast<std::uint64_t>(c.nranks);
+  const auto P = static_cast<std::uint64_t>(c.nranks);
+  if (row.grain == Grain::Block) {
+    c.nbytes = std::max<std::uint64_t>(c.nbytes / P, 1) * P;
   }
-  if (is_reduce_family(c.variant)) {
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
+  if (row.grain == Grain::Reduce) {
+    const std::uint64_t grain = P * coll::elem_bytes(c.red_dtype);
     c.nbytes -= c.nbytes % grain;
     if (c.nbytes == 0) c.nbytes = grain;
   }
   return c;
+}
+
+std::uint64_t oracle_seed(const FuzzCase& c) noexcept {
+  return c.seed * 0x9e3779b97f4a7c15ULL + c.index * 0x100000001b3ULL + 1;
 }
 
 FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
@@ -198,7 +146,14 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
   c.index = index;
   c.watchdog_seconds = opt.watchdog_seconds;
 
-  c.variant = kAllVariants[rng.next_below(kNumVariants)];
+  // Only variants with a legal process count in range (every variant
+  // from min_ranks = 2 up, so default draws never depend on the range).
+  std::vector<Variant> drawable;
+  for (const Variant v : all_variants()) {
+    if (fit_ranks(v, opt.max_ranks) >= opt.min_ranks) drawable.push_back(v);
+  }
+  c.variant = drawable[rng.next_below(drawable.size())];
+  const CollectiveSpec& row = spec(c.variant);
 
   // Process count: biased towards small groups (where the interesting
   // npof2/prime structure lives), with a tail up to max_ranks.
@@ -213,8 +168,13 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
   }
   c.nranks = lo + static_cast<int>(rng.next_below(
                       static_cast<std::uint64_t>(hi - lo + 1)));
-  c.nranks = std::max(opt.min_ranks, std::min(fit_ranks(c.variant, c.nranks),
-                                              opt.max_ranks));
+  // Round down by the rank rule, or up to the first legal count when
+  // rounding down would leave the range.
+  c.nranks = fit_ranks(c.variant, c.nranks);
+  if (c.nranks < opt.min_ranks) {
+    c.nranks = opt.min_ranks;
+    while (fit_ranks(c.variant, c.nranks) != c.nranks) ++c.nranks;
+  }
 
   // Message size: bands straddling the 12 KiB and 512 KiB algorithm-switch
   // thresholds, plus tiny/medium fill-in; snapped to a sampled datatype
@@ -243,27 +203,22 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
   const std::uint64_t align = kAlignments[rng.next_below(kAlignments.size())];
   if (rng.next_double() < 0.5 && c.nbytes >= align) c.nbytes -= c.nbytes % align;
 
-  if (is_block_allgather(c.variant)) {
-    // Standalone allgathers of equal blocks need nbytes divisible by P.
-    std::uint64_t block = c.nbytes / static_cast<std::uint64_t>(c.nranks);
-    if (block == 0) block = 1 + rng.next_below(64);
-    c.nbytes = block * static_cast<std::uint64_t>(c.nranks);
+  // Empty blocks and reductions get a small random size; normalize_case
+  // at the end snaps nbytes to the row's grain.
+  const auto P = static_cast<std::uint64_t>(c.nranks);
+  if (row.grain == Grain::Block && c.nbytes < P) {
+    c.nbytes = (1 + rng.next_below(64)) * P;
   }
-
-  if (is_reduce_family(c.variant)) {
+  if (row.grain == Grain::Reduce) {
     c.red_op = rng.next_below(2) == 0 ? coll::RedOp::Sum : coll::RedOp::Max;
     c.red_dtype =
         rng.next_below(2) == 0 ? coll::RedDtype::I32 : coll::RedDtype::F64;
-    // Reductions need whole elements per uniform chunk.
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
-    c.nbytes -= c.nbytes % grain;
-    if (c.nbytes == 0) c.nbytes = grain * (1 + rng.next_below(32));
+    const std::uint64_t grain = P * coll::elem_bytes(c.red_dtype);
+    if (c.nbytes < grain) c.nbytes = grain * (1 + rng.next_below(32));
   }
+  if (row.grain == Grain::Skewed) c.skew_seed = rng.next();
 
-  if (is_allgatherv(c.variant)) c.skew_seed = rng.next();
-
-  c.root = is_rootless(c.variant) ? 0 : static_cast<int>(rng.next_below(c.nranks));
+  c.root = row.rootless ? 0 : static_cast<int>(rng.next_below(P));
 
   static constexpr std::array<std::uint64_t, 4> kSegments = {0, 512, 4096, 16384};
   c.segment_bytes = kSegments[rng.next_below(kSegments.size())];
@@ -282,7 +237,7 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
       0, 64, 1024, 12288, 65536, std::size_t{1} << 30};
   c.eager_threshold = kEager[rng.next_below(kEager.size())];
 
-  if (c.variant == Variant::BcastHier) {
+  if (row.fields & kNodesField) {
     // Node shape: single node (pure fan-out), all-singleton (degenerate
     // flat ring over every rank), uniform at the sampled cores/node, or a
     // fully ragged random split with occasional 1-core nodes.
@@ -301,7 +256,6 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
         left -= s;
       }
     }
-    c = normalize_case(c);
   }
 
   if (opt.faults && rng.next_double() < 0.4) {
@@ -313,7 +267,7 @@ FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
     c.faults.force_rendezvous_prob = 0.2 * rng.next_double();
     c.faults.force_eager_prob = 0.2 * rng.next_double();
   }
-  return c;
+  return normalize_case(std::move(c));
 }
 
 std::string describe(const FuzzCase& c) {
@@ -322,29 +276,7 @@ std::string describe(const FuzzCase& c) {
   s += " root=" + std::to_string(c.root);
   s += " bytes=" + std::to_string(c.nbytes);
   s += " eager=" + std::to_string(c.eager_threshold);
-  if (c.variant == Variant::BcastRingPipelined) {
-    s += " segment=" + std::to_string(c.segment_bytes);
-  }
-  if (c.variant == Variant::BcastSmp || c.variant == Variant::AllgatherBruckHier) {
-    s += " cores/node=" + std::to_string(c.smp_cores_per_node);
-  }
-  if (c.variant == Variant::BcastHier) {
-    s += " nodes=" + join_sizes(c.node_sizes) +
-         " tuned=" + (c.use_tuned_ring ? "1" : "0");
-  }
-  if (c.variant == Variant::BcastAuto || c.variant == Variant::BcastPersistent ||
-      c.variant == Variant::IbcastConcurrent) {
-    s += " smsg=" + std::to_string(c.smsg_limit) +
-         " mmsg=" + std::to_string(c.mmsg_limit) +
-         " tuned=" + (c.use_tuned_ring ? "1" : "0");
-  }
-  if (is_reduce_family(c.variant)) {
-    s += std::string(" op=") + to_string(c.red_op) +
-         " dtype=" + to_string(c.red_dtype);
-  }
-  if (is_allgatherv(c.variant)) {
-    s += " skew-seed=" + std::to_string(c.skew_seed);
-  }
+  append_fields(c, /*cli=*/false, s);
   if (c.faults.enabled) {
     s += " faults{seed=" + std::to_string(c.faults.seed) +
          " delay=" + std::to_string(c.faults.delay_prob) + "/" +
@@ -370,29 +302,7 @@ std::string explicit_reproducer(const FuzzCase& c) {
   s += " --root=" + std::to_string(c.root);
   s += " --bytes=" + std::to_string(c.nbytes);
   s += " --eager=" + std::to_string(c.eager_threshold);
-  if (c.variant == Variant::BcastRingPipelined) {
-    s += " --segment=" + std::to_string(c.segment_bytes);
-  }
-  if (c.variant == Variant::BcastSmp || c.variant == Variant::AllgatherBruckHier) {
-    s += " --smp-cores=" + std::to_string(c.smp_cores_per_node);
-  }
-  if (c.variant == Variant::BcastHier) {
-    s += " --nodes=" + join_sizes(c.node_sizes) +
-         " --tuned=" + (c.use_tuned_ring ? "1" : "0");
-  }
-  if (c.variant == Variant::BcastAuto || c.variant == Variant::BcastPersistent ||
-      c.variant == Variant::IbcastConcurrent) {
-    s += " --smsg=" + std::to_string(c.smsg_limit) +
-         " --mmsg=" + std::to_string(c.mmsg_limit) +
-         " --tuned=" + (c.use_tuned_ring ? "1" : "0");
-  }
-  if (is_reduce_family(c.variant)) {
-    s += std::string(" --op=") + to_string(c.red_op);
-    s += std::string(" --dtype=") + to_string(c.red_dtype);
-  }
-  if (is_allgatherv(c.variant)) {
-    s += " --skew-seed=" + std::to_string(c.skew_seed);
-  }
+  append_fields(c, /*cli=*/true, s);
   if (c.faults.enabled) {
     s += " --fault-seed=" + std::to_string(c.faults.seed);
     s += " --delay-prob=" + std::to_string(c.faults.delay_prob);

@@ -17,46 +17,35 @@
 namespace bsb::fuzz {
 
 /// Every broadcast/allgather/reduction implementation in src/coll and
-/// src/core.
+/// src/core. Each has one row in the collective registry (fuzz/spec.hpp),
+/// which holds its shape rules, rank program, contract and closed forms.
 enum class Variant : std::uint8_t {
   BcastBinomial,
-  BcastScatterRd,          // requires power-of-two ranks
+  BcastScatterRd,
   BcastScatterRingNative,
-  BcastScatterRingTuned,   // the paper's MPI_Bcast_opt
+  BcastScatterRingTuned,
   BcastRingPipelined,
   BcastSmp,
-  BcastAuto,               // core::bcast dispatcher with sampled thresholds
-  BcastPersistent,         // core::PersistentBcast plan + execute
+  BcastAuto,
+  BcastPersistent,
   AllgatherRingNative,
   AllgatherRingTuned,
-  AllgatherRecursiveDoubling,  // requires power-of-two ranks
+  AllgatherRecursiveDoubling,
   AllgatherBruck,
-  AllgatherNeighborExchange,   // requires an even rank count
-  // Ownership-aware reduction family (the paper's trick beyond bcast).
-  ReduceScatterRing,           // plain ring: each rank keeps its own chunk
-  ReduceScatterBlocks,         // ring + ancestor delivery: binomial blocks
-  AllreduceRsAgNative,         // blocks reduce_scatter + ENCLOSED allgather
-  AllreduceRsAgTuned,          // blocks reduce_scatter + tuned allgather
-  AllreduceRecursiveDoubling,  // requires power-of-two ranks; rootless
-  // Skewed-block (allgatherv) generalization.
+  AllgatherNeighborExchange,
+  ReduceScatterRing,
+  ReduceScatterBlocks,
+  AllreduceRsAgNative,
+  AllreduceRsAgTuned,
+  AllreduceRecursiveDoubling,
   AllgathervRingNative,
   AllgathervRingTuned,
-  // Locality-aware comparison point.
-  AllgatherBruckHier,          // rootless; uses smp_cores_per_node
-  // Nonblocking front-end: kIbcastDepth core::ibcast operations (staggered
-  // roots) in flight at once, driven by the per-rank progress engine.
+  AllgatherBruckHier,
   IbcastConcurrent,
-  // Hierarchical broadcast over an explicit ragged node shape: leaders run
-  // the scatter-ring over their own sub-communicator, then single-copy
-  // fan-out within each node (src/coll/hier).
   BcastHier,
 };
 
 inline constexpr int kNumVariants = 23;
-
-/// Broadcasts IbcastConcurrent keeps in flight per rank (primary buffer
-/// plus depth-1 companions with staggered roots).
-inline constexpr int kIbcastDepth = 3;
 
 const char* to_string(Variant v) noexcept;
 std::optional<Variant> variant_from_string(const std::string& name);
@@ -65,26 +54,16 @@ std::optional<Variant> variant_from_string(const std::string& name);
 std::span<const Variant> all_variants() noexcept;
 
 /// Smallest adjustment of `nranks` (downwards) that satisfies the
-/// variant's structural requirement (power-of-two / even / >= 2).
+/// variant's rank rule (power-of-two / even / >= 2).
 int fit_ranks(Variant v, int nranks) noexcept;
-
-/// Variant classification, shared by the generator, the shrinker and the
-/// verifier so shape constraints stay in one place.
-/// Reduction family: needs (op, dtype) and nbytes % (P * elem) == 0.
-bool is_reduce_family(Variant v) noexcept;
-/// Skewed-block family: needs skew_seed; ANY nbytes is legal.
-bool is_allgatherv(Variant v) noexcept;
-/// Uniform-block allgathers: need nbytes % P == 0.
-bool is_block_allgather(Variant v) noexcept;
-/// Variants with no root parameter (root pinned to 0).
-bool is_rootless(Variant v) noexcept;
 
 struct FuzzCase;
 
 /// Re-establish a case's structural invariants after a field change: clamp
 /// nranks to the variant's requirement, wrap/pin the root, and snap nbytes
-/// to the block or reduction grain. Shared by the shrinker, the verifier
-/// sweep and the CLI replay paths.
+/// to the block or reduction grain, all by the variant's registry row.
+/// Shared by the generator, the shrinker, the verifier sweep and the CLI
+/// replay paths.
 FuzzCase normalize_case(FuzzCase c);
 
 /// One fully specified run. `seed`/`index` identify the generator draw the
@@ -98,7 +77,9 @@ struct FuzzCase {
   int root = 0;
   std::uint64_t nbytes = 0;         // collective buffer bytes (total)
   std::uint64_t segment_bytes = 0;  // BcastRingPipelined only
-  int smp_cores_per_node = 0;       // BcastSmp only
+  // BcastSmp / AllgatherBruckHier, and BcastHier shapes derived by
+  // normalize_case when node_sizes is empty.
+  int smp_cores_per_node = 4;
   // Sampled selector thresholds (BcastAuto / BcastPersistent).
   std::uint64_t smsg_limit = 12288;
   std::uint64_t mmsg_limit = 524288;
@@ -127,7 +108,13 @@ struct GeneratorOptions {
   double watchdog_seconds = 20.0;
 };
 
-/// Deterministically sample case `index` of run `seed`.
+/// Seed of the case's byte-pattern oracle, a pure function of the draw;
+/// initial garbage uses its complement so untouched bytes are detected.
+std::uint64_t oracle_seed(const FuzzCase& c) noexcept;
+
+/// Deterministically sample case `index` of run `seed`. Only variants with
+/// a legal process count in [min_ranks, max_ranks] are drawn, and the
+/// sampled count is rounded into that range by the variant's rank rule.
 FuzzCase sample_case(std::uint64_t seed, std::uint64_t index,
                      const GeneratorOptions& opt);
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <ostream>
+#include <vector>
 
 namespace bsb::fuzz {
 
@@ -9,42 +10,14 @@ namespace {
 
 /// Force a sampled case onto a variant the sabotage can perturb (the
 /// self-test must exercise a vulnerable schedule, not whatever the draw
-/// picked).
+/// picked), cycling through the rows that name it.
 FuzzCase force_sabotageable_variant(FuzzCase c, Sabotage sabotage) {
-  if (sabotage == Sabotage::ReduceScatterDoubleFinal) {
-    c.variant = Variant::ReduceScatterBlocks;
-    c.nranks = fit_ranks(c.variant, c.nranks);
-    c.root = c.root % c.nranks;
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
-    c.nbytes -= c.nbytes % grain;
-    if (c.nbytes == 0) c.nbytes = grain;
-    return c;
+  std::vector<Variant> targets;
+  for (const Variant v : all_variants()) {
+    if (spec(v).sabotage == sabotage) targets.push_back(v);
   }
-  if (sabotage == Sabotage::HierDoubleFanout) {
-    c.variant = Variant::BcastHier;
-    return normalize_case(std::move(c));
-  }
-  switch (c.index % 4) {
-    case 0: c.variant = Variant::BcastScatterRingTuned; break;
-    case 1: c.variant = Variant::AllgatherRingTuned; break;
-    case 2: c.variant = Variant::AllgathervRingTuned; break;
-    default: c.variant = Variant::AllreduceRsAgTuned; break;
-  }
-  c.nranks = fit_ranks(c.variant, c.nranks);
-  c.root = c.root % c.nranks;
-  if (c.variant == Variant::AllgatherRingTuned) {
-    std::uint64_t block = c.nbytes / static_cast<std::uint64_t>(c.nranks);
-    if (block == 0) block = 1;
-    c.nbytes = block * static_cast<std::uint64_t>(c.nranks);
-  }
-  if (c.variant == Variant::AllreduceRsAgTuned) {
-    const std::uint64_t grain =
-        static_cast<std::uint64_t>(c.nranks) * coll::elem_bytes(c.red_dtype);
-    c.nbytes -= c.nbytes % grain;
-    if (c.nbytes == 0) c.nbytes = grain;
-  }
-  return c;
+  c.variant = targets[c.index % targets.size()];
+  return normalize_case(std::move(c));
 }
 
 }  // namespace

@@ -38,7 +38,8 @@ std::vector<FuzzCase> candidates(const FuzzCase& c) {
     cand.nbytes = c.nbytes / 2;
     push(cand);
   }
-  if (c.root != 0 && !is_rootless(c.variant)) {
+  const CollectiveSpec& row = spec(c.variant);
+  if (c.root != 0 && !row.rootless) {
     FuzzCase cand = c;
     cand.root = 0;
     push(cand);
@@ -48,7 +49,7 @@ std::vector<FuzzCase> candidates(const FuzzCase& c) {
     cand.eager_threshold = 65536;
     push(cand);
   }
-  if (c.segment_bytes != 0 && c.variant == Variant::BcastRingPipelined) {
+  if (c.segment_bytes != 0 && (row.fields & kSegmentField)) {
     FuzzCase cand = c;
     cand.segment_bytes = 0;
     push(cand);

@@ -1,5 +1,5 @@
-// Closed-form expectations for every broadcast/allgather variant: total
-// message counts (core/transfer_analysis plus per-variant arithmetic),
+// Closed-form expectations and ownership contracts, read from the
+// collective registry (fuzz/spec.hpp): total and per-rank message counts,
 // exact redundant-transfer accounting (the paper's excess: the enclosed
 // ring re-ships bytes the receiver already owns after the binomial
 // scatter), and each variant's initial-ownership contract. The verifier
@@ -7,66 +7,41 @@
 // failure, never a tolerance.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "bsbutil/intervals.hpp"
 #include "fuzz/case.hpp"
+#include "fuzz/spec.hpp"
 #include "trace/reduce_flow.hpp"
 
 namespace bsb::verify {
 
-struct TransferExpectation {
-  /// Total send halves across all ranks; nullopt when the variant has no
-  /// closed form (none today — every variant is covered).
-  std::optional<std::uint64_t> total_sends;
-  /// Payload bytes delivered to ranks that already held them. For the
-  /// tuned paths this is 0 by construction; for the enclosed (native) ring
-  /// and the recursive-doubling allgather running over binomial-scatter
-  /// output it is exactly sum_r(block_bytes(r) - own_chunk_bytes(r)).
-  std::optional<std::uint64_t> redundant_bytes;
-  /// Nonempty messages whose payload was entirely already held.
-  std::optional<std::uint64_t> redundant_msgs;
-  /// When true, per-rank send/recv counts must match the RingPlan closed
-  /// forms (tuned_sends / tuned_recvs).
-  bool tuned_ring_per_rank = false;
-  /// When true, every rank must send and receive exactly P-1 messages
-  /// (the enclosed ring's shape).
-  bool native_ring_per_rank = false;
-  /// Exact (sends, recvs) per absolute rank; empty means "not constrained
-  /// this way". Used by the reduction family and allgatherv, whose per-rank
-  /// shapes mix ring steps with ancestor deliveries and so fit neither of
-  /// the two boolean shapes above.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> per_rank_counts;
-};
+using fuzz::reduce_flow_options;
+using fuzz::TransferExpectation;
 
 /// Closed-form expectation for the case's recorded schedule.
-TransferExpectation expected_transfers(const fuzz::FuzzCase& c);
+inline TransferExpectation expected_transfers(const fuzz::FuzzCase& c) {
+  return fuzz::spec(c.variant).expect(c);
+}
 
 /// Bytes each rank holds valid BEFORE the collective runs — the variant's
-/// ownership contract (mirrors fuzz's fill_initial; the seeded cross-check
-/// test keeps the two in sync).
-std::vector<IntervalSet> initial_coverage(const fuzz::FuzzCase& c);
+/// ownership contract, the same one the fuzz runner seeds its buffers from.
+inline std::vector<IntervalSet> initial_coverage(const fuzz::FuzzCase& c) {
+  return fuzz::spec(c.variant).contract(c);
+}
 
-/// False for variants whose spans live in scratch memory (Bruck rotation),
-/// where offsets cannot be dataflow-validated, and for the reduction
-/// family, whose payloads are partial sums rather than copies of source
-/// bytes (those are validated by the reduce-flow engine instead).
-bool dataflow_checkable(fuzz::Variant v) noexcept;
+/// False for variants whose spans live in scratch or body-local memory
+/// (Bruck rotation, the ibcast companions), where offsets cannot be
+/// dataflow-validated, and for the reduction family, whose payloads are
+/// partial sums rather than copies of source bytes.
+inline bool dataflow_checkable(fuzz::Variant v) noexcept {
+  return (fuzz::spec(v).proofs & fuzz::kDataflowProof) != 0;
+}
 
 /// True for the reduction family: the recorded schedule must satisfy the
 /// contributor-interval rules of trace::validate_reduce_flow.
-bool reduction_checkable(fuzz::Variant v) noexcept;
-
-/// Options driving the reduce-flow validation of this case's schedule:
-/// chunk grid, root, and the relative chunk range each absolute rank must
-/// hold fully reduced at the end. Requires a reduction-family case with
-/// nbytes > 0.
-trace::ReduceFlowOptions reduce_flow_options(const fuzz::FuzzCase& c);
-
-/// ceil(log2(n)) for n >= 1.
-int ceil_log2(std::uint64_t n) noexcept;
+inline bool reduction_checkable(fuzz::Variant v) noexcept {
+  return fuzz::spec(v).grain == fuzz::Grain::Reduce;
+}
 
 }  // namespace bsb::verify

@@ -12,7 +12,6 @@ namespace bsb::verify {
 
 namespace {
 
-using fuzz::Variant;
 using trace::Op;
 using trace::OpKind;
 
@@ -188,22 +187,6 @@ std::string RotationReport::to_string() const {
     out += " field '" + divergence->field + "': " + divergence->detail;
   }
   return out;
-}
-
-bool rotation_checkable(Variant v) noexcept {
-  switch (v) {
-    case Variant::BcastBinomial:
-    case Variant::BcastScatterRd:
-    case Variant::BcastScatterRingNative:
-    case Variant::BcastScatterRingTuned:
-    case Variant::BcastAuto:
-    case Variant::BcastPersistent:
-    case Variant::AllgatherRingNative:
-    case Variant::AllgatherRingTuned:
-      return true;
-    default:
-      return false;
-  }
 }
 
 RotationReport prove_rotation_equivalence(const fuzz::FuzzCase& c,

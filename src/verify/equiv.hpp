@@ -27,6 +27,7 @@
 
 #include "coll/plan.hpp"
 #include "fuzz/case.hpp"
+#include "fuzz/spec.hpp"
 #include "trace/schedule.hpp"
 
 namespace bsb::verify {
@@ -63,7 +64,9 @@ inline constexpr int kFullGraphMaxP = 512;
 /// Excluded: rootless variants (nothing to rotate), scratch-buffer and
 /// SubComm-based variants (not plan-compilable), and the nonblocking
 /// front-end (covered through BcastPersistent's plan path).
-bool rotation_checkable(fuzz::Variant v) noexcept;
+inline bool rotation_checkable(fuzz::Variant v) noexcept {
+  return (fuzz::spec(v).proofs & fuzz::kRotationProof) != 0;
+}
 
 /// Prove `fresh` — the variant's schedule recorded directly at c.root —
 /// equivalent to the rotated root-0 plan of the same configuration. The

@@ -6,16 +6,18 @@
 // warnings flag legal-but-wasteful constructs (e.g. the enclosed ring's
 // zero-byte trailing-chunk messages the paper criticises).
 // The same header also hosts the symbolic resource-safety bounds: per-rank
-// closed-form peaks for the eager buffer (checked against the greedy
-// high-water mark of hb.cpp) and the shm-pool occupancy proof for the hier
-// fan-out phase (docs/VERIFIER.md).
+// closed-form peaks for the eager buffer (registry rows, checked against
+// the greedy high-water mark of hb.cpp) and the shm-pool occupancy proof
+// for the hier fan-out phase (docs/VERIFIER.md).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bsbutil/error.hpp"
 #include "fuzz/case.hpp"
+#include "fuzz/spec.hpp"
 #include "trace/schedule.hpp"
 
 namespace bsb::verify {
@@ -44,20 +46,24 @@ LintReport lint_schedule(const trace::Schedule& sched);
 
 // --- Symbolic resource-safety bounds -----------------------------------
 
-/// True when eager_peak_bounds knows a closed form for the variant's
-/// per-rank inbound message multiset.
-bool eager_bound_checkable(fuzz::Variant v) noexcept;
+/// True when the variant's registry row has a closed form for its
+/// per-rank eager peak.
+inline bool eager_bound_checkable(fuzz::Variant v) noexcept {
+  return fuzz::spec(v).eager_bound != nullptr;
+}
 
 /// Per-rank (absolute-rank-indexed) closed-form upper bound, in bytes, on
-/// the eager high-water mark under `eager_threshold`: the sum of every
-/// inbound message of at most threshold bytes, derived from the algorithm's
-/// structure alone. The scatter term is the rank's binomial subtree block,
+/// the eager high-water mark under `eager_threshold` (the row's
+/// eager_bound). The scatter term is the rank's binomial subtree block,
 /// the ring term sums chunk (rel - i) mod P over the steps the rank's
 /// RingPlan actually receives in, and the hier fan-out term is one full
-/// buffer per non-leader. Sound for any execution order: the greedy
-/// high-water of analyze_hb can never exceed it.
-std::vector<std::uint64_t> eager_peak_bounds(const fuzz::FuzzCase& c,
-                                             std::uint64_t eager_threshold);
+/// buffer per non-leader.
+inline std::vector<std::uint64_t> eager_peak_bounds(
+    const fuzz::FuzzCase& c, std::uint64_t eager_threshold) {
+  const auto bound = fuzz::spec(c.variant).eager_bound;
+  BSB_REQUIRE(bound != nullptr, "eager_peak_bounds: variant has no closed form");
+  return bound(c, eager_threshold);
+}
 
 /// Shm-pool occupancy proof for the hierarchical fan-out phase.
 struct ShmPoolReport {

@@ -9,14 +9,11 @@
 
 #include "bsbutil/error.hpp"
 #include "coll/scatter_binomial.hpp"
-#include "comm/chunks.hpp"
 #include "core/ring_plan.hpp"
 #include "core/transfer_analysis.hpp"
-#include "trace/counters.hpp"
 #include "trace/coverage.hpp"
 #include "trace/match.hpp"
 #include "trace/record.hpp"
-#include "verify/conformance.hpp"
 #include "verify/equiv.hpp"
 #include "verify/hb.hpp"
 #include "verify/lint.hpp"
@@ -26,6 +23,7 @@ namespace bsb::verify {
 namespace {
 
 using fuzz::FuzzCase;
+using fuzz::TransferExpectation;
 using fuzz::Variant;
 
 void add_failure(CaseResult* res, const std::string& what) {
@@ -46,6 +44,8 @@ void verify_impl(const trace::Schedule& sched, int root,
                  const std::vector<IntervalSet>* initial,
                  const TransferExpectation* expect, const FuzzCase* cfg,
                  bool dataflow, CaseResult* res) {
+  const fuzz::CollectiveSpec* row =
+      cfg != nullptr ? &fuzz::spec(cfg->variant) : nullptr;
   res->total_ops = sched.total_ops();
   res->total_sends = sched.total_sends();
   res->total_send_bytes = sched.total_send_bytes();
@@ -82,9 +82,9 @@ void verify_impl(const trace::Schedule& sched, int root,
     // 3b. Symbolic eager bounds: the greedy per-rank high-water must be
     // dominated by the closed form derived from the variant's structure.
     // Skipped on deadlock: the stuck fixpoint leaves residency partial.
-    if (cfg != nullptr && opt.check_bounds && !hb.deadlock &&
-        eager_bound_checkable(cfg->variant)) {
-      const std::vector<std::uint64_t> bound = eager_peak_bounds(*cfg, thr);
+    if (row != nullptr && opt.check_bounds && !hb.deadlock &&
+        row->eager_bound != nullptr) {
+      const std::vector<std::uint64_t> bound = row->eager_bound(*cfg, thr);
       res->eager_bounds_checked = true;
       for (int r = 0; r < sched.nranks; ++r) {
         const auto ri = static_cast<std::size_t>(r);
@@ -117,8 +117,8 @@ void verify_impl(const trace::Schedule& sched, int root,
   }
 
   // 3c. Shm-pool occupancy proof for the hier fan-out phase.
-  if (cfg != nullptr && opt.check_bounds &&
-      cfg->variant == Variant::BcastHier && !cfg->node_sizes.empty()) {
+  if (row != nullptr && opt.check_bounds &&
+      (row->proofs & fuzz::kShmPoolProof) != 0 && !cfg->node_sizes.empty()) {
     const ShmPoolReport shm = verify_shm_pool(sched, cfg->node_sizes, root);
     res->shm_checked = true;
     res->shm_peak_node_bytes = shm.peak_node_bytes;
@@ -133,6 +133,7 @@ void verify_impl(const trace::Schedule& sched, int root,
   }
 
   // 4. Dataflow coverage + redundancy under the initial-ownership contract.
+  bool flow_ok = false;  // a flow engine ran and accepted the schedule
   if (dataflow) {
     trace::CoverageOptions copt;
     if (initial != nullptr) copt.initial = *initial;
@@ -141,21 +142,9 @@ void verify_impl(const trace::Schedule& sched, int root,
     res->dataflow_checked = true;
     res->redundant_bytes = cov.redundant_bytes;
     res->redundant_msgs = cov.redundant_msgs;
+    flow_ok = cov.ok;
     if (!cov.ok) {
       add_failure(res, "coverage:\n" + cov.diagnostics);
-    }
-    if (expect != nullptr && cov.ok) {
-      if (expect->redundant_bytes &&
-          cov.redundant_bytes != *expect->redundant_bytes) {
-        add_failure(res, mismatch("redundancy: redundant bytes",
-                                  cov.redundant_bytes,
-                                  *expect->redundant_bytes));
-      }
-      if (expect->redundant_msgs &&
-          cov.redundant_msgs != *expect->redundant_msgs) {
-        add_failure(res, mismatch("redundancy: fully-redundant messages",
-                                  cov.redundant_msgs, *expect->redundant_msgs));
-      }
     }
   }
 
@@ -163,82 +152,36 @@ void verify_impl(const trace::Schedule& sched, int root,
   // family (partial sums instead of byte copies; the coverage engine does
   // not apply). Redundancy here means a fully reduced chunk delivered to a
   // rank that already held it fully reduced.
-  if (cfg != nullptr && reduction_checkable(cfg->variant) &&
-      sched.nbytes > 0) {
+  if (row != nullptr && row->grain == fuzz::Grain::Reduce && sched.nbytes > 0) {
     const trace::ReduceFlowReport rf =
-        trace::validate_reduce_flow(sched, m, reduce_flow_options(*cfg));
+        trace::validate_reduce_flow(sched, m, fuzz::reduce_flow_options(*cfg));
     res->reduce_flow_checked = true;
     res->redundant_bytes = rf.redundant_bytes;
     res->redundant_msgs = rf.redundant_msgs;
+    flow_ok = rf.ok;
     if (!rf.ok) {
       add_failure(res, "reduce-flow:\n" + rf.diagnostics);
     }
-    if (expect != nullptr && rf.ok) {
-      if (expect->redundant_bytes &&
-          rf.redundant_bytes != *expect->redundant_bytes) {
-        add_failure(res, mismatch("redundancy: redundant reduced bytes",
-                                  rf.redundant_bytes, *expect->redundant_bytes));
-      }
-      if (expect->redundant_msgs &&
-          rf.redundant_msgs != *expect->redundant_msgs) {
-        add_failure(res,
-                    mismatch("redundancy: fully-redundant reduced messages",
-                             rf.redundant_msgs, *expect->redundant_msgs));
-      }
+  }
+  if (expect != nullptr && flow_ok) {
+    if (expect->redundant_bytes &&
+        res->redundant_bytes != *expect->redundant_bytes) {
+      add_failure(res, mismatch("redundancy: redundant bytes",
+                                res->redundant_bytes, *expect->redundant_bytes));
+    }
+    if (expect->redundant_msgs &&
+        res->redundant_msgs != *expect->redundant_msgs) {
+      add_failure(res, mismatch("redundancy: fully-redundant messages",
+                                res->redundant_msgs, *expect->redundant_msgs));
     }
   }
 
-  // 5. Transfer-count conformance against the closed forms.
+  // 5. Transfer-count conformance against the closed forms (the count
+  // check the fuzz pre-check shares).
   if (expect != nullptr) {
-    if (expect->total_sends && res->total_sends != *expect->total_sends) {
-      add_failure(res, mismatch("transfers: total messages", res->total_sends,
-                                *expect->total_sends));
-    }
-    if (!expect->per_rank_counts.empty()) {
-      const auto per_rank = trace::per_rank_op_counts(sched);
-      for (int r = 0; r < sched.nranks && res->failures.size() < 8; ++r) {
-        const auto& want = expect->per_rank_counts[static_cast<std::size_t>(r)];
-        if (per_rank[r].sends != want.first) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " sends")
-                                        .c_str(),
-                                    per_rank[r].sends, want.first));
-        }
-        if (per_rank[r].recvs != want.second) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " recvs")
-                                        .c_str(),
-                                    per_rank[r].recvs, want.second));
-        }
-      }
-    }
-    if ((expect->tuned_ring_per_rank || expect->native_ring_per_rank) &&
-        cfg != nullptr) {
-      const int P = sched.nranks;
-      const auto per_rank = trace::per_rank_op_counts(sched);
-      for (int r = 0; r < P && res->failures.size() < 8; ++r) {
-        std::uint64_t want_sends = 0, want_recvs = 0;
-        if (expect->tuned_ring_per_rank) {
-          const core::RingPlan plan =
-              core::compute_ring_plan(rel_rank(r, cfg->root, P), P);
-          want_sends = static_cast<std::uint64_t>(core::tuned_sends(plan, P));
-          want_recvs = static_cast<std::uint64_t>(core::tuned_recvs(plan, P));
-        } else {
-          want_sends = want_recvs = static_cast<std::uint64_t>(P - 1);
-        }
-        if (per_rank[r].sends != want_sends) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " sends")
-                                        .c_str(),
-                                    per_rank[r].sends, want_sends));
-        }
-        if (per_rank[r].recvs != want_recvs) {
-          add_failure(res, mismatch(("transfers: rank " + std::to_string(r) +
-                                     " recvs")
-                                        .c_str(),
-                                    per_rank[r].recvs, want_recvs));
-        }
-      }
+    for (const std::string& m :
+         fuzz::count_mismatches(sched, res->total_sends, *expect, 8)) {
+      add_failure(res, "transfers: " + m);
     }
   }
 }
@@ -268,16 +211,18 @@ CaseResult verify_case(const FuzzCase& c, const VerifyOptions& opt,
     add_failure(&res, std::string("record: ") + e.what());
     return res;
   }
-  const TransferExpectation expect = expected_transfers(c);
-  const std::vector<IntervalSet> initial = initial_coverage(c);
-  const bool dataflow = opt.check_dataflow && dataflow_checkable(c.variant);
+  const fuzz::CollectiveSpec& row = fuzz::spec(c.variant);
+  const TransferExpectation expect = row.expect(c);
+  const std::vector<IntervalSet> initial = row.contract(c);
+  const bool dataflow =
+      opt.check_dataflow && (row.proofs & fuzz::kDataflowProof) != 0;
   verify_impl(sched, c.root, opt, &initial, &expect, &c, dataflow, &res);
   // 6. Rotation equivalence: the freshly recorded root-r schedule must be
   // the rotated root-0 plan. Sabotaged runs are skipped — the sabotage is
   // applied to the fresh recording only, so the canonical program differs
   // by construction, not by a cache bug.
   if (opt.check_rotation && sabotage == fuzz::Sabotage::None &&
-      rotation_checkable(c.variant)) {
+      (row.proofs & fuzz::kRotationProof) != 0) {
     const RotationReport rot = prove_rotation_equivalence(c, sched);
     res.rotation_checked = true;
     res.rotation_full_graph = rot.full_graph_checked;
@@ -511,8 +456,7 @@ FuzzCase sweep_case(Variant v, int P, int root, std::uint64_t nbytes) {
   c.nbytes = nbytes;
   c.root = root;
   c.segment_bytes = 4096;
-  c.smp_cores_per_node = 4;
-  if (fuzz::is_allgatherv(v)) {
+  if (fuzz::spec(v).grain == fuzz::Grain::Skewed) {
     // Deterministic skew per (P, nbytes) so sweep runs are reproducible but
     // still exercise distinct partitions (including zero-sized chunks).
     c.skew_seed = 0x5eedu + static_cast<std::uint64_t>(P) * 1315423911u + nbytes;
@@ -573,15 +517,16 @@ SweepReport run_sweep(const SweepOptions& opt, std::ostream& out) {
       if (opt.only && *opt.only != v) continue;
       if (fuzz::fit_ranks(v, P) != P) continue;  // structural requirement
       const std::vector<int> roots = roots_for(P, opt.all_roots_upto);
-      const bool rootless = fuzz::is_rootless(v);
+      const fuzz::CollectiveSpec& row = fuzz::spec(v);
+      const bool shaped = (row.fields & fuzz::kNodesField) != 0;
       for (const std::uint64_t nbytes : opt.sizes) {
         for (const int root : roots) {
-          if (rootless && root != roots.front()) continue;
+          if (row.rootless && root != roots.front()) continue;
           std::vector<HierShape> shapes{{}};
-          if (v == Variant::BcastHier) shapes = hier_shapes(P);
+          if (shaped) shapes = hier_shapes(P);
           for (const HierShape& shape : shapes) {
           FuzzCase c = sweep_case(v, P, root, nbytes);
-          if (v == Variant::BcastHier) {
+          if (shaped) {
             c.node_sizes = shape.node_sizes;
             c.use_tuned_ring = shape.tuned;
             c = fuzz::normalize_case(std::move(c));

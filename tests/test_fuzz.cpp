@@ -6,16 +6,23 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "fuzz/case.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/runner.hpp"
 #include "fuzz/shrink.hpp"
+#include "fuzz/spec.hpp"
 
 namespace bsb::fuzz {
 namespace {
 
 bool is_pow2(int n) { return n >= 1 && (n & (n - 1)) == 0; }
+
+bool is_reduce_family(Variant v) { return spec(v).grain == Grain::Reduce; }
+bool is_block_allgather(Variant v) { return spec(v).grain == Grain::Block; }
+bool is_allgatherv(Variant v) { return spec(v).grain == Grain::Skewed; }
+bool is_rootless(Variant v) { return spec(v).rootless; }
 
 bool is_allgather_variant(Variant v) {
   switch (v) {
@@ -84,6 +91,26 @@ TEST(FuzzCaseGenerator, SampledCasesSatisfyStructuralInvariants) {
   }
   // 2000 draws must exercise every variant.
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kNumVariants));
+}
+
+// Narrow process-count ranges must keep every draw inside the range and
+// legal for its variant: normalize_case must find nothing to fix.
+TEST(FuzzCaseGenerator, NarrowRankRangesDrawOnlyLegalCounts) {
+  for (const auto& [lo, hi] :
+       {std::pair{5, 7}, std::pair{3, 3}, std::pair{9, 15}}) {
+    GeneratorOptions opt;
+    opt.min_ranks = lo;
+    opt.max_ranks = hi;
+    for (std::uint64_t i = 0; i < 500; ++i) {
+      const FuzzCase c = sample_case(11, i, opt);
+      ASSERT_GE(c.nranks, lo) << describe(c);
+      ASSERT_LE(c.nranks, hi) << describe(c);
+      const FuzzCase n = normalize_case(c);
+      ASSERT_EQ(n.nranks, c.nranks) << describe(c);
+      ASSERT_EQ(n.root, c.root) << describe(c);
+      ASSERT_EQ(n.nbytes, c.nbytes) << describe(c);
+    }
+  }
 }
 
 TEST(FuzzCaseGenerator, NormalizeCaseRestoresEveryStructuralInvariant) {

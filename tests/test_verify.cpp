@@ -441,9 +441,11 @@ TEST(Verifier, SkewedAllgathervMatchesClosedFormsAndTunedIsWasteFree) {
 // ----------------------------------------------- oracle/verifier agreement
 
 TEST(Verifier, AgreesWithThreadedOracleOn150SeededCases) {
-  // The verifier re-derives each variant's initial-ownership contract and
-  // closed forms independently of the fuzz runner; the seeded random
-  // configurations keep the two models honest against each other.
+  // Fuzz and verify read the same registry row (contract, closed forms),
+  // so the independent sides are the threaded byte oracle, which checks
+  // the bytes every rank ends with, and the static proofs (happens-before,
+  // dataflow coverage, reduce-flow); the seeded random configurations keep
+  // those two honest against each other.
   // (150 draws: the smallest round count covering all 23 variants.)
   fuzz::GeneratorOptions gen;
   gen.max_ranks = 16;

@@ -45,7 +45,8 @@ void usage(std::ostream& os) {
         "  --list              print sampled configs without running them\n"
         "  --verbose           print each case before running it\n"
         "  --selftest          corrupt RingPlan.step and verify detection\n\n"
-        "Explicit replay (prints of shrunk reproducers use these):\n"
+        "Explicit replay (prints of shrunk reproducers use these; the shape\n"
+        "is snapped to the variant's rules, --smp-cores defaults to 4):\n"
         "  --variant=NAME --ranks=N [--root=R] [--bytes=B] [--eager=E]\n"
         "  [--segment=S] [--smp-cores=C] [--smsg=B] [--mmsg=B] [--tuned=0|1]\n"
         "  [--op=sum|max] [--dtype=i32|f64] [--skew-seed=N] [--nodes=4,4,3]\n"
@@ -185,12 +186,10 @@ std::optional<CliArgs> parse(int argc, char** argv) {
       return std::nullopt;
     }
     ec.watchdog_seconds = a.harness.gen.watchdog_seconds;
-    if (ec.variant == bsb::fuzz::Variant::BcastHier) {
-      // Refit the node shape (and derive one from --smp-cores if --nodes
-      // was omitted) so the Topology constructor's sum invariant holds.
-      ec = bsb::fuzz::normalize_case(std::move(ec));
-    }
-    a.explicit_case = ec;
+    // Snap the shape to the variant's rules (rank count, root, byte grain,
+    // node shape derived from --smp-cores when --nodes is omitted), as
+    // bsb-verify's single-case mode does.
+    a.explicit_case = bsb::fuzz::normalize_case(std::move(ec));
   }
   return a;
 }

@@ -464,7 +464,6 @@ int main(int argc, char** argv) {
     c.root = single_root;
     c.nbytes = single_bytes;
     c.segment_bytes = 4096;
-    c.smp_cores_per_node = 4;
     c.skew_seed = single_skew_seed;
     c = bsb::fuzz::normalize_case(c);
     VerifyOptions vopt;
